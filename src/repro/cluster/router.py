@@ -149,51 +149,14 @@ def base_names(expr: Any) -> set[str]:
     return names
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
+class _RouterHandler(protocol.LineHandler):
     """One client connection to the router (same framing as the service)."""
 
     server: "_RouterTcpServer"
 
-    def setup(self) -> None:
-        super().setup()
-        self._write_lock = threading.Lock()
-
-    def send(self, frame: dict[str, Any]) -> None:
-        data = protocol.encode(frame)
-        with self._write_lock:
-            try:
-                self.wfile.write(data)
-                self.wfile.flush()
-            except (OSError, ValueError):
-                pass
-
     def handle(self) -> None:
         router = self.server.router
-        while True:
-            try:
-                line = self.rfile.readline(protocol.MAX_LINE_BYTES + 2)
-            except (OSError, ValueError):
-                return
-            if not line:
-                return
-            if not line.strip():
-                continue
-            try:
-                request = protocol.parse_request(protocol.decode_line(line))
-            except ProtocolError as exc:
-                payload_id = 0
-                try:
-                    maybe = protocol.decode_line(line).get("id")
-                    if isinstance(maybe, int):
-                        payload_id = maybe
-                except ProtocolError:
-                    pass
-                self.send(
-                    protocol.error_frame(
-                        payload_id, protocol.E_BAD_REQUEST, str(exc)
-                    )
-                )
-                continue
+        for request in self.requests():
             router.dispatch(self, request)
 
     def finish(self) -> None:
@@ -643,7 +606,7 @@ class ClusterRouter:
     def _route_query_admitted(self, handler: Any, request: Request) -> None:
         try:
             weights = self.plan_hosts(request.text)
-        except (PlanError, QueryParseError, KeyError) as exc:
+        except (PlanError, QueryParseError) as exc:
             handler.send(
                 protocol.error_frame(request.id, protocol.E_BAD_REQUEST, str(exc))
             )
@@ -881,7 +844,7 @@ class ClusterRouter:
         try:
             weights = self.plan_hosts(request.text)
             _, targets, _ = self.route_for(weights)
-        except (PlanError, QueryParseError, KeyError) as exc:
+        except (PlanError, QueryParseError) as exc:
             handler.send(
                 protocol.error_frame(request.id, protocol.E_BAD_REQUEST, str(exc))
             )

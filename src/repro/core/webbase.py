@@ -37,6 +37,7 @@ from repro.core.sessions import build_all_builders
 from repro.logical import car_logical_schema
 from repro.logical.mapping import car_catalog_stats
 from repro.logical.schema import LogicalSchema
+from repro.mqo.registry import answer_revisions
 from repro.relational.cost import observe_trace
 from repro.navigation.builder import MapBuilder
 from repro.navigation.compiler import CompiledSite, compile_map
@@ -282,17 +283,21 @@ class WebBase:
 
     def query(self, text: str, context: ExecutionContext | None = None) -> Relation:
         """Answer an end-user query against the universal relation."""
+        plan: URPlan | None = None
         if context is None and self.mqo is not None:
             # Containment first: a revision-current gold answer that
             # subsumes this query serves it with zero fetches.
             subsumed = self.mqo.subsume(text)
             if subsumed is not None:
                 return subsumed
+            plan = self.mqo.take_plan(text)
         ctx = context or self.execution_context(label=text)
         self.last_context = ctx
+        before = self.cache.revisions()
         with ctx.accounted(), ctx.span("query", text):
             with ctx.span("plan", "ur") as span:
-                plan = self.ur.plan(text)
+                if plan is None:
+                    plan = self.ur.plan(text)
                 span.attrs["objects"] = len(plan.objects)
                 span.attrs["feasible"] = len(plan.feasible_objects)
                 span.attrs["optimizer"] = plan.optimizer
@@ -305,32 +310,33 @@ class WebBase:
             observe_trace(self.metrics, ctx.root)
             if self.store is not None:
                 # Gold: materialize the answer with the revision vector of
-                # every host it touched — the same bumps that evict the
-                # cache invalidate it.  Only for contexts this call owns;
-                # a shared context's spans straddle several queries.
-                hosts = sorted(
-                    {
-                        span.attrs.get("host", "")
-                        for span in ctx.root.spans("fetch")
-                    }
-                    - {""}
-                )
+                # every host it touched, shared-subplan leaders' included,
+                # as read — the same bumps that evict the cache invalidate
+                # it.  Only for contexts this call owns; a shared context's
+                # spans straddle several queries.
                 self.store.persist_answer(
-                    text, answer, {h: self.cache.revision(h) for h in hosts}
+                    text, answer, answer_revisions(ctx.root, before)
                 )
         return answer
 
-    def query_stream(self, text: str, context: ExecutionContext | None = None):
+    def query_stream(
+        self,
+        text: str,
+        context: ExecutionContext | None = None,
+        plan: URPlan | None = None,
+    ):
         """Answer a query *incrementally*: yields ``(ObjectPlan, Relation)``
         pairs as each maximal object completes (the serving path — see
         :meth:`repro.ur.planner.StructuredUR.answer_stream`).  Rows may
         repeat across objects; callers that need exact ``query`` semantics
-        deduplicate (the service layer does)."""
+        deduplicate (the service layer does).  ``plan`` is a plan of
+        ``text`` the caller already holds (a subsume miss made one)."""
         ctx = context or self.execution_context(label=text)
         self.last_context = ctx
         with ctx.accounted(), ctx.span("query", text):
             with ctx.span("plan", "ur") as span:
-                plan = self.ur.plan(text)
+                if plan is None:
+                    plan = self.ur.plan(text)
                 span.attrs["objects"] = len(plan.objects)
                 span.attrs["feasible"] = len(plan.feasible_objects)
                 span.attrs["optimizer"] = plan.optimizer

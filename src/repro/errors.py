@@ -46,6 +46,8 @@ _HOMES = {
     "NavigationError": "repro.web.browser",
     "Overloaded": "repro.service.client",
     "PageBudgetExceeded": "repro.navigation.executor",
+    "PlanError": "repro.ur.planner",
+    "QueryParseError": "repro.ur.query",
     "ServiceError": "repro.service.client",
     "ServiceShuttingDown": "repro.service.client",
     "TransientNetworkError": "repro.web.browser",

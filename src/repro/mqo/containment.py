@@ -189,8 +189,12 @@ def implies(new: C.Condition | None, gold: C.Condition | None) -> bool:
     prove it", never "proved the negation"."""
     if gold is None:
         return True
-    new_d = decompose(new)
-    gold_d = decompose(gold)
+    return decomposition_implies(decompose(new), decompose(gold))
+
+
+def decomposition_implies(new_d: Decomposition, gold_d: Decomposition) -> bool:
+    """:func:`implies` over conditions already decomposed — a caller that
+    tests one query against many gold answers decomposes each once."""
     # Every opaque gold conjunct must appear verbatim (canonically) in new.
     if not gold_d.atoms <= new_d.atoms:
         return False

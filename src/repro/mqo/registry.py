@@ -43,10 +43,16 @@ from typing import Any, Callable
 from repro.relational.relation import Relation
 
 
+#: The attribute of a subscriber's span holding the hosts the leader
+#: fetched from, each at the revision it was read at (see
+#: :meth:`SubplanRegistry.run`).
+FETCHED_ATTR = "fetched"
+
+
 class _SharedNode:
     """One in-flight shared subplan evaluation."""
 
-    __slots__ = ("event", "result", "error", "subscribers", "lock")
+    __slots__ = ("event", "result", "error", "subscribers", "lock", "fetched")
 
     def __init__(self) -> None:
         self.event = threading.Event()
@@ -54,15 +60,29 @@ class _SharedNode:
         self.error: BaseException | None = None
         self.subscribers = 1  # the leader counts
         self.lock = threading.Lock()
+        # host → revision the leader's fetches read it at.
+        self.fetched: dict[str, int] = {}
 
 
 class SubplanRegistry:
-    """In-flight fingerprint → shared evaluation, with metrics."""
+    """In-flight fingerprint → shared evaluation, with metrics.
 
-    def __init__(self, metrics: Any = None) -> None:
+    ``revisions`` returns the live host → revision map (absent = 0).  The
+    leader samples it before it runs, so a subscriber — whose own trace
+    holds no fetches — can still say which hosts its rows came from, at
+    which revisions, and a gold answer persisted from them goes stale
+    with the first write to any of those hosts.
+    """
+
+    def __init__(
+        self,
+        metrics: Any = None,
+        revisions: Callable[[], dict[str, int]] | None = None,
+    ) -> None:
         self._lock = threading.Lock()
         self._nodes: dict[str, _SharedNode] = {}
         self.metrics = metrics
+        self._revisions = revisions
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
@@ -102,6 +122,7 @@ class SubplanRegistry:
                 self._count("mqo.shared_leads")
                 if span is not None:
                     span.attrs["mqo"] = "lead"
+                before = self._revisions() if self._revisions is not None else {}
                 try:
                     result = thunk()
                 except BaseException as exc:
@@ -112,6 +133,10 @@ class SubplanRegistry:
                     raise
                 with self._lock:
                     self._nodes.pop(fingerprint, None)
+                if span is not None:
+                    node.fetched = {
+                        host: before.get(host, 0) for host in fetched_hosts(span)
+                    }
                 node.result = result
                 node.event.set()
                 return result
@@ -134,11 +159,38 @@ class SubplanRegistry:
                 self._count("mqo.shared_hits")
                 if span is not None:
                     span.attrs["mqo"] = "hit"
+                    span.attrs[FETCHED_ATTR] = dict(node.fetched)
                 return node.result
             # The leader failed or was cancelled out from under us: its
             # flight is already popped, so loop — whoever re-enters first
             # promotes to leader and re-runs.
             self._count("mqo.promotions")
+
+
+def fetched_hosts(span: Any) -> set[str]:
+    """The hosts fetched from under ``span`` — its own fetch spans, and
+    the hosts its shared-subplan hits inherited from their leaders."""
+    hosts: set[str] = set()
+    for node in span.walk():
+        if node.kind == "fetch":
+            hosts.add(str(node.attrs.get("host", "")))
+        hosts.update(node.attrs.get(FETCHED_ATTR, ()))
+    hosts.discard("")
+    return hosts
+
+
+def answer_revisions(span: Any, before: dict[str, int]) -> dict[str, int]:
+    """The revision vector of an answer computed under ``span``: every
+    host it was derived from, at the revision it was read at — ``before``
+    (the live revisions sampled before the query ran), or the revision a
+    shared leader inherited it at where that is older.  A write that lands
+    while the query runs, or between its fetches and its persist, leaves
+    the vector behind the live revision, so the answer is never current."""
+    read_at = {host: before.get(host, 0) for host in fetched_hosts(span)}
+    for node in span.walk():
+        for host, revision in node.attrs.get(FETCHED_ATTR, {}).items():
+            read_at[host] = min(revision, read_at[host])
+    return dict(sorted(read_at.items()))
 
 
 class BatchGate:

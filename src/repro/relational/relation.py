@@ -17,7 +17,7 @@ RowDict = dict[str, Any]
 
 def _sort_key(row: Row) -> tuple:
     """A total order over heterogeneous rows (ints, floats, strings, None)."""
-    return tuple((type(v).__name__, repr(v)) for v in row)
+    return tuple([(type(v).__name__, repr(v)) for v in row])
 
 
 class Relation:
@@ -41,6 +41,16 @@ class Relation:
         self.rows: tuple[Row, ...] = tuple(sorted(deduped, key=_sort_key))
 
     # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def _ordered(cls, schema: Schema, rows: tuple[Row, ...]) -> "Relation":
+        """A relation over rows that are already distinct and in order —
+        an in-order subset of another relation's rows, which keeps both
+        properties — without deduplicating and sorting them again."""
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation.rows = rows
+        return relation
 
     @classmethod
     def from_dicts(cls, schema: Schema | Iterable[str], dicts: Iterable[RowDict]) -> "Relation":
@@ -93,16 +103,18 @@ class Relation:
 
     def select(self, predicate: Callable[[RowDict], bool]) -> "Relation":
         attrs = self.schema.attrs
-        kept = [row for row in self.rows if predicate(dict(zip(attrs, row)))]
-        return Relation(self.schema, kept)
+        kept = tuple(row for row in self.rows if predicate(dict(zip(attrs, row))))
+        return Relation._ordered(self.schema, kept)
 
     def project(self, attrs: Iterable[str]) -> "Relation":
         target = self.schema.project(attrs)
+        if target.attrs == self.schema.attrs:
+            return Relation._ordered(target, self.rows)
         indices = [self.schema.index_of(a) for a in target]
         return Relation(target, [tuple(row[i] for i in indices) for row in self.rows])
 
     def rename(self, mapping: dict[str, str]) -> "Relation":
-        return Relation(self.schema.rename(mapping), self.rows)
+        return Relation._ordered(self.schema.rename(mapping), self.rows)
 
     def derive(self, attr: str, fn: Callable[[RowDict], Any]) -> "Relation":
         """Add (or replace) ``attr`` computed from each row."""
@@ -140,7 +152,9 @@ class Relation:
                 "difference schema mismatch: %r vs %r" % (self.schema, other.schema)
             )
         theirs = set(other._aligned_to(self.schema))
-        return Relation(self.schema, [r for r in self.rows if r not in theirs])
+        return Relation._ordered(
+            self.schema, tuple(r for r in self.rows if r not in theirs)
+        )
 
     def _aligned_to(self, schema: Schema) -> tuple[Row, ...]:
         """Rows re-ordered to match ``schema``'s attribute order."""

@@ -215,7 +215,7 @@ class ServiceClient:
         deadline = self._clock() + max(0.0, connect_timeout)
         while True:
             try:
-                self._sock = socket.create_connection((host, port), timeout=timeout)
+                self._sock = protocol.connect(host, port, timeout)
                 break
             except OSError:
                 if self._clock() >= deadline:

@@ -41,8 +41,11 @@ resulting deltas have been pushed.
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
+import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 # A line longer than this is a protocol violation, not a big query.
 MAX_LINE_BYTES = 4 * 1024 * 1024
@@ -186,6 +189,79 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     if not isinstance(payload, dict):
         raise ProtocolError("frame must be a JSON object")
     return payload
+
+
+# -- transport ---------------------------------------------------------------------
+#
+# A streamed reply is several frames: its ``page`` frames, then the
+# terminal ``result``.  Each frame is its own small write, so with Nagle's
+# algorithm on, the second frame waits until the peer ACKs the first — and
+# the peer delays that ACK (~40 ms on Linux) hoping to piggyback it on a
+# reply that never comes.  Every line-JSON endpoint therefore runs with
+# ``TCP_NODELAY`` on both ends; there is no setting to turn Nagle back on.
+
+
+def connect(host: str, port: int, timeout: float | None) -> socket.socket:
+    """A client connection to a line-JSON endpoint, with Nagle off."""
+    sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+class LineHandler(socketserver.StreamRequestHandler):
+    """One accepted connection of a line-JSON endpoint (service, router,
+    federation bus): Nagle off, serialized frame writes, and a line
+    reader that ends quietly when the peer goes away."""
+
+    disable_nagle_algorithm = True
+    #: The longest line :meth:`lines` reads whole.
+    max_line_bytes = MAX_LINE_BYTES
+
+    def setup(self) -> None:
+        super().setup()
+        self._write_lock = threading.Lock()
+
+    def send(self, frame: dict[str, Any]) -> None:
+        """Write one frame; a vanished peer is not an error (in-flight work
+        just completes into the void)."""
+        data = encode(frame)
+        with self._write_lock:
+            try:
+                self.wfile.write(data)
+                self.wfile.flush()
+            except (OSError, ValueError):
+                pass
+
+    def lines(self) -> Iterator[bytes]:
+        """The connection's non-blank lines, until it closes or fails."""
+        while True:
+            try:
+                line = self.rfile.readline(self.max_line_bytes + 2)
+            except (OSError, ValueError):
+                return
+            if not line:
+                return
+            if line.strip():
+                yield line
+
+    def requests(self) -> Iterator[Request]:
+        """The connection's well-formed requests; a malformed frame is
+        answered with ``BAD_REQUEST`` (echoing its id when it has one)
+        and skipped."""
+        for line in self.lines():
+            try:
+                request = parse_request(decode_line(line))
+            except ProtocolError as exc:
+                payload_id = 0
+                try:
+                    maybe = decode_line(line).get("id")
+                    if isinstance(maybe, int):
+                        payload_id = maybe
+                except ProtocolError:
+                    pass
+                self.send(error_frame(payload_id, E_BAD_REQUEST, str(exc)))
+                continue
+            yield request
 
 
 # -- response frames ---------------------------------------------------------------

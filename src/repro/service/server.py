@@ -61,7 +61,6 @@ from repro.service.protocol import (
     E_INTERNAL,
     E_OVERLOADED,
     E_SHUTTING_DOWN,
-    ProtocolError,
     Request,
 )
 from repro.relational.relation import Relation
@@ -205,6 +204,7 @@ class StandingQueryRegistry:
         as one delta to every subscriber, immediately after the ack.
         """
         text = request.text
+        revisions = self._webbase.cache.revisions()
         answer, hosts = self._evaluate(text)
         fresh_rows = set(answer.rows)
         store = self._webbase.store
@@ -253,6 +253,18 @@ class StandingQueryRegistry:
                 standing, answer.schema, fresh_rows, hosts,
                 host="", revision=0,
                 reason="resume" if resumed else "subscribe",
+            )
+        # A sweep that ran while the evaluation above did found no
+        # subscriber here to refresh (it registers only now), and the
+        # evaluation may have read the host's cache entries from before
+        # that sweep: if a host the answer read has moved since, evaluate
+        # again and push the diff.  Any later sweep sees the subscriber.
+        moved = self._webbase.cache.revisions()
+        if any(moved.get(host, 0) != revisions.get(host, 0) for host in hosts):
+            answer, hosts = self._evaluate(text)
+            self._apply_refresh(
+                standing, answer.schema, set(answer.rows), hosts,
+                host="", revision=0, reason="cdc",
             )
 
     def unsubscribe(self, handler: Any, request: Request) -> bool:
@@ -385,7 +397,7 @@ class StandingQueryRegistry:
             self._metrics.counter("service.standing_deltas").inc()
 
 
-class _ClientHandler(socketserver.StreamRequestHandler):
+class _ClientHandler(protocol.LineHandler):
     """One connected client: reads request lines, enforces its concurrency
     slots, and serializes response frames onto the socket."""
 
@@ -393,7 +405,6 @@ class _ClientHandler(socketserver.StreamRequestHandler):
 
     def setup(self) -> None:
         super().setup()
-        self._write_lock = threading.Lock()
         self._slots = 0
         self._slots_lock = threading.Lock()
 
@@ -410,42 +421,11 @@ class _ClientHandler(socketserver.StreamRequestHandler):
         with self._slots_lock:
             self._slots = max(0, self._slots - 1)
 
-    # -- frame I/O -----------------------------------------------------------
-
-    def send(self, frame: dict[str, Any]) -> None:
-        """Write one frame; a vanished client is not an error (its in-flight
-        work just completes into the void)."""
-        data = protocol.encode(frame)
-        with self._write_lock:
-            try:
-                self.wfile.write(data)
-                self.wfile.flush()
-            except (OSError, ValueError):
-                pass
+    # -- the request loop ----------------------------------------------------
 
     def handle(self) -> None:
         service = self.server.service
-        while True:
-            try:
-                line = self.rfile.readline(protocol.MAX_LINE_BYTES + 2)
-            except (OSError, ValueError):
-                return
-            if not line:
-                return  # client closed the connection
-            if not line.strip():
-                continue
-            try:
-                request = protocol.parse_request(protocol.decode_line(line))
-            except ProtocolError as exc:
-                payload_id = 0
-                try:
-                    maybe = protocol.decode_line(line).get("id")
-                    if isinstance(maybe, int):
-                        payload_id = maybe
-                except ProtocolError:
-                    pass
-                self.send(protocol.error_frame(payload_id, E_BAD_REQUEST, str(exc)))
-                continue
+        for request in self.requests():
             if request.op == "ping":
                 self.send(protocol.pong_frame(request.id))
             elif request.op == "metrics":
@@ -819,12 +799,14 @@ class WebBaseService:
         request = job.request
         page_size = request.page_size or self.config.page_size
         mqo = self.webbase.mqo
+        plan = None
         if mqo is not None:
             # MQO decision ladder, step 1: a revision-current gold answer
             # that contains this query serves it with zero fetches.
             subsumed = mqo.subsume(request.text)
             if subsumed is not None:
                 return self._stream_subsumed(job, subsumed, page_size)
+            plan = mqo.take_plan(request.text)
             if self._gate is not None:
                 # Step 2: hold dispatch until the batching window closes,
                 # so overlapping arrivals share in-flight fingerprints.
@@ -845,8 +827,11 @@ class WebBaseService:
         seen: set[tuple] = set()
         schema: list[str] = []
         seq = 0
+        before = self.webbase.cache.revisions()
         try:
-            for obj, piece in self.webbase.query_stream(request.text, context=ctx):
+            for obj, piece in self.webbase.query_stream(
+                request.text, context=ctx, plan=plan
+            ):
                 fresh = [row for row in piece.rows if row not in seen]
                 seen.update(fresh)
                 schema = list(piece.schema)
@@ -872,7 +857,7 @@ class WebBaseService:
             # The streaming path never reaches webbase.query's gold
             # persist; materialize here so later overlapping queries can
             # subsume.  Partial answers (any failed fetch) never persist.
-            self._persist_streamed(request.text, schema, seen, ctx)
+            self._persist_streamed(request.text, schema, seen, ctx, before)
         return {
             "rows": len(seen),
             "pages": seq,
@@ -919,6 +904,7 @@ class WebBaseService:
         schema: list[str],
         seen: set[tuple],
         ctx: ExecutionContext,
+        before: dict[str, int],
     ) -> None:
         mqo = self.webbase.mqo
         if mqo is None or self.webbase.store is None:
@@ -928,10 +914,7 @@ class WebBaseService:
                 schema = list(parse_query(text).outputs)
             except QueryParseError:
                 return
-        hosts = {
-            str(span.attrs.get("host", "")) for span in ctx.root.spans("fetch")
-        } - {""}
         try:
-            mqo.record_answer(text, Relation(schema, seen), hosts)
+            mqo.record_answer(text, Relation(schema, seen), ctx.root, before)
         except Exception:  # noqa: BLE001 - persistence is best-effort
             self.metrics.counter("mqo.persist_errors").inc()

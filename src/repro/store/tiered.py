@@ -113,6 +113,9 @@ class TieredStore:
         self._quarantined: set[str] = set()
         self._silver: dict[tuple[str, KeyPairs], dict[str, Any]] = {}
         self._answers: dict[str, dict[str, Any]] = {}
+        # current_answers(), rebuilt only after an answer or a revision
+        # moves (None = stale); every MQO read asks for it.
+        self._current: tuple[dict[str, Any], ...] | None = None
         self._snapshots: dict[str, dict[str, Any]] = {}
         self._standing: dict[str, bool] = {}
         for record in self.bronze:
@@ -204,6 +207,7 @@ class TieredStore:
         if written:
             with self._lock:
                 self._revisions[host] = revision
+                self._current = None
         return written
 
     def record_quarantine(self, host: str, active: bool) -> bool:
@@ -258,6 +262,7 @@ class TieredStore:
         if written:
             with self._lock:
                 self._answers[query] = record
+                self._current = None
             self._inc("store.gold_writes")
         return written
 
@@ -349,17 +354,20 @@ class TieredStore:
             )
         return entries
 
-    def current_answers(self) -> list[dict[str, Any]]:
-        """Gold answers whose full revision vector is still current."""
+    def current_answers(self) -> tuple[dict[str, Any], ...]:
+        """Gold answers whose full revision vector is still current, in
+        query-text order (shared and read-only: do not mutate)."""
         with self._lock:
-            return [
-                record
-                for _, record in sorted(self._answers.items())
-                if all(
-                    self._revisions.get(host, 0) == revision
-                    for host, revision in record["revisions"].items()
+            if self._current is None:
+                self._current = tuple(
+                    record
+                    for _, record in sorted(self._answers.items())
+                    if all(
+                        self._revisions.get(host, 0) == revision
+                        for host, revision in record["revisions"].items()
+                    )
                 )
-            ]
+            return self._current
 
     def snapshot(self, query: str) -> dict[str, Any] | None:
         with self._lock:
@@ -391,10 +399,13 @@ class TieredStore:
                 host: map_to_dict(navmap) for host, navmap in sorted(navmaps.items())
             },
         }
+        # One-shot dumps takes the C encoder; json.dump streams through
+        # the pure-Python one, most of a maintenance sweep's time.
+        text = json.dumps(meta, sort_keys=True, separators=(",", ":"))
         path = os.path.join(self.root, META_FILE)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="ascii") as handle:
-            json.dump(meta, handle, sort_keys=True, separators=(",", ":"))
+            handle.write(text)
         os.replace(tmp, path)
 
     def load_navmaps(self) -> dict[str, Any]:

@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.errors import WebBaseError
 from repro.logical.schema import LogicalSchema
 from repro.relational.algebra import (
     Base,
@@ -37,8 +38,9 @@ from repro.ur.maximal import covering_objects, maximal_objects
 from repro.ur.query import URQuery, parse_query
 
 
-class PlanError(Exception):
-    """The query has no evaluable plan."""
+class PlanError(WebBaseError):
+    """The query has no evaluable plan (an attribute outside the universal
+    relation, or no compatible set of relations covers the query)."""
 
 
 @dataclass
@@ -166,7 +168,10 @@ class StructuredUR:
             query = parse_query(query)
         attrs = set()
         for name in query.attributes():
-            resolved = self.logical.resolve_attribute(name)
+            try:
+                resolved = self.logical.resolve_attribute(name)
+            except KeyError as exc:
+                raise PlanError(exc.args[0] if exc.args else str(exc)) from None
             attrs.add(resolved)
         unknown = attrs - set(self.attributes)
         if unknown:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import WebBaseError
 from repro.relational.conditions import (
     And,
     Attr,
@@ -32,7 +33,7 @@ from repro.relational.conditions import (
 )
 
 
-class QueryParseError(Exception):
+class QueryParseError(WebBaseError):
     """The query text is not well-formed."""
 
 
@@ -152,8 +153,10 @@ def parse_query(text: str) -> URQuery:
     tokens.expect("SELECT")
     outputs: list[str] = []
     while True:
-        token = tokens.next()
-        outputs.append(token.lower())
+        token = tokens.next().lower()
+        if token in outputs:
+            raise QueryParseError("attribute %r repeated in the SELECT list" % token)
+        outputs.append(token)
         nxt = tokens.peek()
         if nxt == ",":
             tokens.next()

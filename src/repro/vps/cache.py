@@ -210,6 +210,11 @@ class ResultCache:
         with self._lock:
             return self._revisions.get(host, 0)
 
+    def revisions(self) -> dict[str, int]:
+        """Every bumped host's revision (a copy; an absent host is at 0)."""
+        with self._lock:
+            return dict(self._revisions)
+
     def bump_revision(self, host: str) -> int:
         """An auto-absorbed site change: advance the host's map revision and
         evict its entries.  Returns the number of entries evicted."""

@@ -274,7 +274,6 @@ class Browser:
         self.server = server
         self.clock = clock or SimClock()
         self.page: WebPage | None = None
-        self.history: list[WebPage] = []
         self.pages_fetched = 0
         self._observers: list[BrowserObserver] = []
 
@@ -427,7 +426,6 @@ class Browser:
             )
         page = parse_page(response.final_url or request.url, response.body)
         self.page = page
-        self.history.append(page)
         self.pages_fetched += 1
         for observer in self._observers:
             observer.on_page(page)

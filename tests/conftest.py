@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import faulthandler
 import os
+import socket
 
 import pytest
 
@@ -49,6 +50,25 @@ def derive_seeds(stream: str, count: int) -> list[int]:
 
     rng = SimulationPlan(REPRO_TEST_SEED).rng(stream)
     return [rng.randrange(2**31) for _ in range(count)]
+
+
+def spy_accepted_sockets(monkeypatch, handler_class) -> list:
+    """Collect the socket of every connection ``handler_class`` accepts
+    (a socketserver handler; the spy is undone with ``monkeypatch``)."""
+    accepted: list = []
+    original = handler_class.setup
+
+    def setup(handler):
+        original(handler)
+        accepted.append(handler.connection)
+
+    monkeypatch.setattr(handler_class, "setup", setup)
+    return accepted
+
+
+def nodelay(sock: socket.socket) -> int:
+    """The socket's ``TCP_NODELAY`` option (1: Nagle's algorithm off)."""
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def pytest_report_header(config: object) -> str:

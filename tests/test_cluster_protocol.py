@@ -29,6 +29,7 @@ from repro.service.client import (
 )
 from repro.service.server import ServiceConfig, WebBaseService
 from repro.vps.cache import CachePolicy
+from tests.conftest import nodelay, spy_accepted_sockets
 
 QUERY = "SELECT make, model, price WHERE make = 'saab'"
 
@@ -348,3 +349,57 @@ class TestInjectableRetryClock:
         # window: opened at 3.0, deadline 8.0 — one failed attempt at
         # 6.0 sleeps once, the next look (9.0) expires the window.
         assert fake.sleeps == [0.1]
+
+
+class _PongRouter:
+    """Just enough of a ClusterRouter for its TCP front to answer pings."""
+
+    def dispatch(self, handler, request) -> None:
+        handler.send(protocol.pong_frame(request.id))
+
+    def detach(self, handler) -> None:
+        pass
+
+
+class TestNagleOff:
+    """Every line-JSON endpoint of the cluster tier runs with TCP_NODELAY:
+    a streamed reply is several frames, and with Nagle on each frame
+    after the first waits for the peer's delayed ACK."""
+
+    def test_router_accepted_sockets(self, monkeypatch):
+        from repro.cluster.router import _RouterHandler, _RouterTcpServer
+
+        accepted = spy_accepted_sockets(monkeypatch, _RouterHandler)
+        server = _RouterTcpServer(("127.0.0.1", 0), _PongRouter())
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            with ServiceClient(host=host, port=port) as client:
+                client.ping()
+                assert nodelay(client._sock) == 1
+                assert [nodelay(sock) for sock in accepted] == [1]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_federation_accepted_and_client_sockets(self, monkeypatch):
+        from repro.cluster.federation import (
+            FederationClient,
+            FederationServer,
+            _FederationHandler,
+        )
+
+        accepted = spy_accepted_sockets(monkeypatch, _FederationHandler)
+        server = FederationServer()
+        host, port = server.start()
+        client = FederationClient(host, port)
+        try:
+            assert client.stats()["entries"] == 0
+            assert nodelay(client._sock) == 1
+            assert [nodelay(sock) for sock in accepted] == [1]
+        finally:
+            client.close()
+            server.stop()

@@ -18,6 +18,7 @@ Covers the three rungs of the MQO ladder end to end:
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -29,7 +30,8 @@ from repro.mqo.registry import BatchGate, SubplanRegistry
 from repro.relational.relation import Relation
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, WebBaseService
-from repro.ur.query import parse_query
+from repro.sites.world import mutate_site_listings
+from repro.ur.query import QueryParseError, parse_query
 from repro.vps.cache import CachePolicy
 
 BROAD = "SELECT make, model, price, year WHERE make = 'saab'"
@@ -49,6 +51,14 @@ def _mqo_webbase(tmp_path) -> WebBase:
             mqo=True,
         )
     )
+
+
+@pytest.fixture()
+def mqo_webbase(tmp_path):
+    """An MQO webbase whose store is closed after the test."""
+    webbase = _mqo_webbase(tmp_path)
+    yield webbase
+    webbase.store.close()
 
 
 # -- containment ---------------------------------------------------------------
@@ -307,6 +317,33 @@ class TestSubsume:
         assert len(answer) > 0
         assert wb.metrics.value("mqo.subsumed") == before
 
+    def test_write_between_fetch_and_persist_retires_the_answer(
+        self, mqo_webbase, monkeypatch
+    ):
+        """A write that lands after a query fetched but before its gold
+        answer is persisted must leave that answer stale: it holds the
+        rows from before the write."""
+        wb = mqo_webbase
+        host = "www.newsday.com"
+        answer = wb.ur.answer
+
+        def answer_then_write(*args, **kwargs):
+            result = answer(*args, **kwargs)
+            monkeypatch.setattr(wb.ur, "answer", answer)
+            mutate_site_listings(wb.world, host, make="saab", model="900", seed=3)
+            wb.run_maintenance(host)
+            return result
+
+        monkeypatch.setattr(wb.ur, "answer", answer_then_write)
+        wb.query(BROAD)
+        narrow = wb.query(NARROW)
+        control = WebBase.create(
+            WebBaseConfig(ads_per_host=24, cache=CachePolicy.lru())
+        )
+        mutate_site_listings(control.world, host, make="saab", model="900", seed=3)
+        control.run_maintenance(host)
+        assert sorted(narrow.rows) == sorted(control.query(NARROW).rows)
+
     def test_mismatched_attribute_set_refuses(self, tmp_path):
         """A narrowed query that mentions a different attribute set can
         have different maximal objects (and therefore rows the gold
@@ -341,6 +378,161 @@ class TestSubsume:
         wb.query(BROAD)
         counters = wb.metrics.snapshot()["counters"]
         assert not any(name.startswith("mqo.") for name in counters)
+
+
+def _reference_subsume(wb: WebBase, text: str):
+    """Containment as first written, deriving everything on every call:
+    parse the query and every gold text, plan both join cores, decompose
+    both conditions.  Returns ``(answer, gold text)`` or ``(None, None)``."""
+    try:
+        query = parse_query(text)
+    except QueryParseError:
+        return None, None
+    needed = {name.lower() for name in query.attributes()}
+
+    def core(t: str):
+        try:
+            plan = wb.ur.plan(t)
+        except Exception:  # noqa: BLE001 - unplannable: not containable
+            return None
+        return frozenset(frozenset(obj.relations) for obj in plan.feasible_objects)
+
+    for record in wb.store.current_answers():
+        if not all(
+            wb.cache.revision(host) == revision
+            for host, revision in record["revisions"].items()
+        ):
+            continue
+        gold_rows = Relation(record["schema"], [tuple(r) for r in record["rows"]])
+        if record["query"] == text:
+            return gold_rows, record["query"]
+        if not needed <= set(record["schema"]):
+            continue
+        try:
+            gold = parse_query(record["query"])
+        except QueryParseError:
+            continue
+        if core(text) != core(record["query"]):
+            continue
+        if not implies(query.condition, gold.condition):
+            continue
+        answer = gold_rows
+        if query.condition is not None:
+            answer = answer.select(query.condition.evaluate)
+        return answer.project(query.outputs), record["query"]
+    return None, None
+
+
+class TestSubsumeMatchesTheReference:
+    """The memoized containment check (each gold text parsed, decomposed
+    and planned once) serves exactly what deriving everything afresh
+    serves, on a grid of gold answers and probes — before and after a
+    revision bump retires some of the gold."""
+
+    # Narrowest first, so that no gold query is itself served from gold.
+    GOLDS = [
+        "SELECT model, year, price WHERE make = 'saab' AND year > 1990",
+        "SELECT make, model, price WHERE make = 'saab'",
+        BROAD,
+        "SELECT make, model, year, price WHERE make = 'honda' AND year > 1994",
+    ]
+    OUTPUTS = ["make, model, price, year", "make, model", "model, year, price"]
+    CONDITIONS = [
+        "make = 'saab'",
+        "make = 'saab' AND year > 1995",
+        "make = 'saab' AND year >= 1995",
+        "make = 'saab' AND year > 1995 AND year < 1999",
+        "make IN ('saab', 'honda')",
+        "make = 'honda' AND year > 1996",
+        "make != 'ford'",
+        "year > 1996",
+        "make = 'saab' AND price < bb_price",
+    ]
+
+    def _check_grid(self, wb: WebBase) -> int:
+        hits = 0
+        for outputs in self.OUTPUTS:
+            for condition in self.CONDITIONS:
+                text = "SELECT %s WHERE %s" % (outputs, condition)
+                expected, gold = _reference_subsume(wb, text)
+                for _ in range(2):  # cold memos, then warm ones
+                    before = wb.metrics.snapshot()["counters"]
+                    got = wb.mqo.subsume(text)
+                    after = wb.metrics.snapshot()["counters"]
+                    moved = {
+                        name: after[name] - before.get(name, 0)
+                        for name in after
+                        if after[name] != before.get(name, 0)
+                    }
+                    if expected is None:
+                        assert got is None, text
+                        assert moved == {}, text
+                        continue
+                    assert got is not None, text
+                    assert list(got.schema) == list(expected.schema), text
+                    assert got.rows == expected.rows, text
+                    assert wb.mqo.last_subsumed_by == gold, text
+                    assert moved == {"mqo.subsumed": 1}, (text, moved)
+                hits += expected is not None
+        return hits
+
+    def test_concurrent_lookups_agree_with_the_reference(
+        self, mqo_webbase, monkeypatch
+    ):
+        """Service workers share the memos: many threads, tiny memos that
+        keep starting over, a short switch interval — every lookup still
+        serves what the reference serves."""
+        import sys
+
+        import repro.mqo.optimizer as optimizer_mod
+
+        wb = mqo_webbase
+        for text in self.GOLDS:
+            wb.query(text)
+        probes = [
+            "SELECT %s WHERE %s" % (outputs, condition)
+            for outputs in self.OUTPUTS
+            for condition in self.CONDITIONS
+        ]
+        expected = {}
+        for text in probes:
+            answer, _ = _reference_subsume(wb, text)
+            expected[text] = None if answer is None else answer.rows
+        monkeypatch.setattr(optimizer_mod, "_MEMO_LIMIT", 3)
+        wrong: list = []
+
+        def lookups() -> None:
+            for _ in range(3):
+                for text in probes:
+                    got = wb.mqo.subsume(text)
+                    if (None if got is None else got.rows) != expected[text]:
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=lookups) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_grid(self, mqo_webbase):
+        wb = mqo_webbase
+        for text in self.GOLDS:
+            wb.query(text)
+        assert len(wb.store.current_answers()) == len(self.GOLDS)
+        assert self._check_grid(wb) >= 10
+        # Retire every gold answer, then renew one: the grid must now be
+        # served from that one alone.
+        for host in sorted(wb.store.current_answers()[0]["revisions"]):
+            wb.cache.bump_revision(host)
+        wb.query(BROAD)
+        assert self._check_grid(wb) >= 8
 
 
 # -- the service path ----------------------------------------------------------
@@ -382,6 +574,76 @@ class TestServiceMQO:
         ]
         assert summary["count"] >= 2
         assert 0.0 <= summary["max"] < 30.0
+
+    def test_shared_subplan_follower_gold_sees_the_next_write(self, tmp_path):
+        """Two connections share one subplan evaluation, then a write lands
+        on a site the leader fetched.  The follower fetched nothing itself,
+        so unless its gold answer carries the leader's hosts and revisions
+        it stays "current" through the write, and the reads after the write
+        are served from it without the new ads."""
+        # The same query twice, conjuncts swapped: one plan fingerprint
+        # (they share), two texts (two gold answers, leader's and follower's).
+        texts = [
+            "SELECT make, model, price, year WHERE make = 'saab' AND year > 1992",
+            "SELECT make, model, price, year WHERE year > 1992 AND make = 'saab'",
+        ]
+        narrower = (
+            "SELECT make, model, price, year WHERE make = 'saab' AND year > 1994"
+        )
+        spec = {
+            "make": "saab",
+            "model": "900",
+            "count": 3,
+            "seed": 7,
+            "change": "auto",
+        }
+        host = "www.newsday.com"
+        config = WebBaseConfig(
+            ads_per_host=24,
+            cache=CachePolicy.lru(),
+            store_dir=str(tmp_path / "store"),
+            mqo=True,
+        )
+        webbase = WebBase.create(config)
+        svc = WebBaseService(
+            webbase,
+            ServiceConfig(
+                port=0, workers=2, mqo_window_ms=250.0, allow_world_mutation=True
+            ),
+        )
+        address = svc.start()
+        errors: list = []
+
+        def read(text: str) -> None:
+            try:
+                with ServiceClient(host=address[0], port=address[1]) as client:
+                    client.query(text)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=read, args=(t,)) for t in texts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not errors
+            counters = webbase.metrics.snapshot()["counters"]
+            assert counters.get("mqo.shared_hits", 0) >= 1, counters
+            with ServiceClient(host=address[0], port=address[1]) as client:
+                client.mutate(json.dumps({"host": host, **spec}))
+                client.sweep(host)
+                after = {text: client.query(text) for text in [*texts, narrower]}
+        finally:
+            svc.shutdown()
+            webbase.store.close()
+
+        control = WebBase.create(WebBaseConfig(ads_per_host=24))
+        mutate_site_listings(control.world, host=host, **spec)
+        control.run_maintenance(host)
+        for text, outcome in after.items():
+            expected = control.query(text)
+            assert sorted(map(tuple, outcome.rows)) == sorted(expected.rows), text
 
     def test_batching_window_shares_concurrent_identical_queries(self, tmp_path):
         """Four identical queries fired together under a batching window

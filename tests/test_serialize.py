@@ -1,5 +1,9 @@
 """Tests for navigation-map persistence (JSON round-trips)."""
 
+import hashlib
+import io
+import json
+
 import pytest
 
 from repro.navigation.compiler import compile_map
@@ -12,6 +16,7 @@ from repro.navigation.serialize import (
     map_to_dict,
     save_map,
 )
+from repro.store.tiered import TieredStore
 
 
 class TestRoundTrip:
@@ -99,3 +104,46 @@ class TestErrors:
         data["edges"].append({"kind": "teleport", "source": "n0", "target": "n1"})
         with pytest.raises(SerializeError):
             map_from_dict(data)
+
+
+class TestStoreMetaFile:
+    """The tiered store's ``meta.json`` (the persisted navigation maps)."""
+
+    #: sha256 of meta.json for the default world's maps, as the streaming
+    #: ``json.dump`` wrote it; the one-shot encoder must write the same.
+    META_SHA256 = "b3120682aa32f66788acd88c99c704cb87aa887841b238e6cd57532f8fce94c0"
+
+    def _saved(self, webbase, tmp_path) -> bytes:
+        store = TieredStore(str(tmp_path))
+        try:
+            store.save_navmaps({h: b.map for h, b in webbase.builders.items()})
+        finally:
+            store.close()
+        return (tmp_path / "meta.json").read_bytes()
+
+    def test_meta_bytes_are_pinned(self, webbase, tmp_path):
+        data = self._saved(webbase, tmp_path)
+        assert hashlib.sha256(data).hexdigest() == self.META_SHA256
+
+    def test_meta_bytes_match_the_streaming_encoder(self, webbase, tmp_path):
+        meta = {
+            "version": 1,
+            "navmaps": {
+                host: map_to_dict(builder.map)
+                for host, builder in sorted(webbase.builders.items())
+            },
+        }
+        streamed = io.StringIO()
+        json.dump(meta, streamed, sort_keys=True, separators=(",", ":"))
+        assert self._saved(webbase, tmp_path) == streamed.getvalue().encode("ascii")
+
+    def test_meta_round_trips(self, webbase, tmp_path):
+        self._saved(webbase, tmp_path)
+        store = TieredStore(str(tmp_path))
+        try:
+            loaded = store.load_navmaps()
+        finally:
+            store.close()
+        assert set(loaded) == set(webbase.builders)
+        for host, navmap in loaded.items():
+            assert map_to_dict(navmap) == map_to_dict(webbase.builders[host].map)

@@ -1,5 +1,8 @@
 """Unit tests for the simulated server, latency accounting, and browser."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.web import html as H
@@ -152,12 +155,26 @@ class TestBrowser:
         with pytest.raises(NavigationError):
             browser.follow_named("Search")
 
-    def test_history_and_page_counter(self):
+    def test_page_counter_and_current_page(self):
         browser = Browser(_demo_server())
-        browser.get("http://demo.com/")
-        browser.follow_named("Search")
+        first = browser.get("http://demo.com/")
+        second = browser.follow_named("Search")
         assert browser.pages_fetched == 2
-        assert len(browser.history) == 2
+        assert browser.page is second
+        assert second is not first
+
+    def test_keeps_no_page_but_the_current_one(self):
+        # A lane's browser lives as long as the webbase, so every page it
+        # held on to would be held for good.
+        browser = Browser(_demo_server())
+        loaded = []
+        for _ in range(5):
+            loaded.append(weakref.ref(browser.get("http://demo.com/")))
+            loaded.append(weakref.ref(browser.follow_named("Search")))
+        gc.collect()
+        alive = [ref() for ref in loaded if ref() is not None]
+        assert alive == [browser.page]
+        assert browser.pages_fetched == 10
 
     def test_network_time_charged(self):
         browser = Browser(_demo_server())

@@ -27,6 +27,7 @@ from repro.service.client import (
 )
 from repro.service.server import ServiceConfig, WebBaseService
 from repro.vps.cache import CachePolicy
+from tests.conftest import nodelay, spy_accepted_sockets
 
 QUERY = "SELECT make, model, price WHERE make = 'saab'"
 
@@ -256,6 +257,25 @@ class TestProtocolErrors:
         assert not excinfo.value.retriable
         assert svc.metrics.value("service.bad_requests") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT nosuch",
+            "SELECT make WHERE nosuch = 1",
+            "SELECT make, make WHERE make = 'saab'",
+            "SELECT make, MAKE WHERE make = 'saab'",
+        ],
+    )
+    def test_unknown_or_repeated_attribute_is_bad_request(self, service, text):
+        svc, host, port = service
+        with ServiceClient(host=host, port=port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.query(text)
+        assert excinfo.value.code == protocol.E_BAD_REQUEST
+        assert not excinfo.value.retriable
+        assert svc.metrics.value("service.bad_requests") == 1
+        assert svc.metrics.value("service.errors") == 0
+
     def test_server_survives_bad_requests(self, service):
         """A protocol violation poisons neither the connection nor the
         server — the next well-formed query still answers."""
@@ -265,6 +285,18 @@ class TestProtocolErrors:
                 client.query("SELECT make WHERE")
             outcome = client.query(QUERY)
         assert len(outcome.rows) > 0
+
+
+class TestTransport:
+    def test_accepted_and_client_sockets_disable_nagle(self, service, monkeypatch):
+        """A streamed reply is several frames; with Nagle on, each frame
+        after the first would wait for the peer's delayed ACK."""
+        svc, host, port = service
+        accepted = spy_accepted_sockets(monkeypatch, svc._server.RequestHandlerClass)
+        with ServiceClient(host=host, port=port) as client:
+            client.ping()  # answered, so the server has set the connection up
+            assert nodelay(client._sock) == 1
+            assert [nodelay(sock) for sock in accepted] == [1]
 
 
 class TestDrain:

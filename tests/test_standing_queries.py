@@ -120,6 +120,37 @@ class TestExactDeltas:
             assert sub_two.rows == truth
 
 
+    def test_sweep_during_the_subscribe_evaluation_is_not_lost(
+        self, stack, monkeypatch
+    ):
+        """A sweep that lands while a subscribe is still evaluating finds
+        no subscriber to refresh, and the evaluation may have read the
+        cache from before the sweep: the subscriber must still converge."""
+        world, webbase, service, host, port = stack
+        _fresh_rows(webbase)  # warm the cache: the next read is a hit
+        mutate_site_listings(world, HOST_A, count=2, seed=5)
+        registry = service.standing
+        evaluate = registry._evaluate
+        swept: list = []
+
+        def evaluate_then_sweep(text):
+            result = evaluate(text)
+            if not swept:
+                swept.append(webbase.run_maintenance(HOST_A))
+            return result
+
+        monkeypatch.setattr(registry, "_evaluate", evaluate_then_sweep)
+        with ServiceClient(host=host, port=port) as client:
+            sub = client.subscribe(QUERY)
+            truth = _fresh_rows(webbase)
+            assert swept and HOST_A in swept[0]
+            assert sub.rows != truth  # the snapshot predates the sweep
+            delta = client.next_delta(sub, timeout=10.0)
+            assert delta is not None, "the sweep's change never arrived"
+            assert len(delta.added) == 2
+            assert sub.rows == truth
+
+
 class TestShutdownRestartResume:
     def test_restart_resumes_with_exactly_the_missed_delta(self, tmp_path):
         """The mid-sweep shutdown case: host A's churn is swept and

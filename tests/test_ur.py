@@ -225,8 +225,29 @@ class TestPlanner:
     def test_unknown_attribute_rejected(self, webbase):
         from repro.ur.planner import PlanError
 
-        with pytest.raises((PlanError, KeyError)):
+        with pytest.raises(PlanError):
             webbase.plan("SELECT astrology")
+
+    @pytest.mark.parametrize(
+        "text", ["SELECT nosuch", "SELECT make WHERE nosuch = 'x'"]
+    )
+    def test_query_with_unknown_attribute_is_a_plan_error(self, webbase, text):
+        from repro.errors import PlanError, WebBaseError
+
+        with pytest.raises(PlanError) as excinfo:
+            webbase.query(text)
+        assert isinstance(excinfo.value, WebBaseError)
+        assert "nosuch" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["SELECT make, make WHERE make = 'saab'", "SELECT make, Make"],
+    )
+    def test_query_with_repeated_attribute_is_a_parse_error(self, webbase, text):
+        from repro.errors import QueryParseError
+
+        with pytest.raises(QueryParseError, match="repeated"):
+            webbase.query(text)
 
     def test_resolve_concept_names(self, webbase):
         assert webbase.ur.resolve("Car") == ["make", "model", "year"]
