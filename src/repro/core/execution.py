@@ -54,7 +54,8 @@ from repro.errors import WebBaseError
 from repro.navigation.executor import NavigationExecutor
 from repro.navigation.fabric import AsyncNavigationExecutor
 from repro.navigation.prefetch import SpeculationBudget, SpeculativePrefetcher
-from repro.vps.cache import CachePolicy, InFlight
+from repro.singleflight import Flight, FlightTable
+from repro.vps.cache import CachePolicy
 from repro.web.browser import PrefixPageCache, TransientNetworkError
 from repro.web.clock import SimClock
 from repro.web.server import FaultPlan, WebServer
@@ -739,8 +740,8 @@ class ExecutionContext:
         # feeding the cost-aware batch chunker's weight estimates.
         self._page_stats: dict[tuple, tuple[int, float]] = {}
         self._cache: dict[tuple, "Relation"] = {}
-        self._flights: dict[tuple, InFlight] = {}
         self._lock = threading.RLock()
+        self._flights = FlightTable(self._lock)
         self._slots = threading.Semaphore(self.max_workers)
         # Speculative probes run on their own slot budget so speculation
         # can never starve demanded fetches of workers.
@@ -1121,10 +1122,8 @@ class ExecutionContext:
         access's justifying bindings travel with it.
 
         Concurrent misses on the same ``(relation, bindings)`` key coalesce
-        into one upstream fetch (single-flight): the first worker fetches,
-        the rest wait and share its result.  A failed fetch is never
-        shared — each waiter retries on its own, so transient faults
-        cannot fan out into spurious failures or cached garbage.
+        into one upstream fetch (:mod:`repro.singleflight`); a failed fetch
+        is never shared, so transient faults cannot fan out.
 
         ``bundle`` lets a batch session reuse one pre-held worker across
         several bindings (see :meth:`run_fetch_batch`); without it the
@@ -1161,10 +1160,31 @@ class ExecutionContext:
             self._pop_handle(handle)
             self._unregister_handle(handle)
 
-    def _wait_flight(self, flight: InFlight, stage: str) -> None:
-        """Wait on another worker's in-flight fetch, staying cancellable."""
-        while not flight.event.wait(0.05):
-            self.check_cancelled(stage)
+    def _claim_fetch(self, key: tuple) -> tuple["Relation | None", Flight | None, bool]:
+        """One lock hold: this context's result for ``key`` (a hit), or
+        the flight on it and whether the caller leads it.  A result is
+        cached before its flight retires, so a waiter whose leader
+        succeeded finds it here when it loops back."""
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is not None:
+                self.cache_hits += 1
+                flight, leader = None, False
+            else:
+                flight, leader = self._flights.claim(key)
+        if cached is not None:
+            self.metrics.counter("engine.context_cache_hits").inc()
+        elif not leader:
+            self.metrics.counter("engine.coalesced").inc()
+        return cached, flight, leader
+
+    def _resolve_fetch(self, flight: Flight, result: "Relation") -> None:
+        """Publish a leader's result to this context's cache and waiters."""
+
+        def store() -> None:
+            self._cache[flight.key] = result
+
+        self._flights.resolve(flight, result, store)
 
     def _run_fetch_inner(
         self,
@@ -1174,39 +1194,21 @@ class ExecutionContext:
         handle: AccessHandle,
     ) -> "Relation":
         key = self._fetch_key(relation, given)
+        stage = "fetch:%s" % relation.name
         while True:
-            self.check_deadline("fetch:%s" % relation.name)
-            self.check_cancelled("fetch:%s" % relation.name)
-            leader = False
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    flight = self._flights.get(key)
-                    if flight is None:
-                        flight = self._flights[key] = InFlight()
-                        leader = True
+            self.check_deadline(stage)
+            self.check_cancelled(stage)
+            cached, flight, leader = self._claim_fetch(key)
             if cached is not None:
-                with self._lock:
-                    self.cache_hits += 1
-                self.metrics.counter("engine.context_cache_hits").inc()
                 with self.span("fetch", relation.name, host=relation.host) as span:
                     span.cache = "hit"
                 return cached
             if not leader:
-                self.metrics.counter("engine.coalesced").inc()
-                self._wait_flight(flight, "fetch:%s" % relation.name)
+                flight.wait(lambda: self.check_cancelled(stage))
                 continue  # result (or nothing, if the leader failed) is cached now
-            try:
+            with self._flights.lead(flight):
                 result = self._guarded_fetch(relation, given, bundle, handle)
-            except BaseException:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-                raise
-            with self._lock:
-                self._cache[key] = result
-                self._flights.pop(key, None)
-            flight.event.set()
+                self._resolve_fetch(flight, result)
             return result
 
     def _guarded_fetch(
@@ -1374,45 +1376,27 @@ class ExecutionContext:
         coalesced flight polls its event at virtual 50ms — free in real
         time, cancellable at every poll."""
         key = self._fetch_key(relation, given)
+        stage = "fetch:%s" % relation.name
         while True:
-            self.check_deadline("fetch:%s" % relation.name)
-            self._watch_cancel(watchers, "fetch:%s" % relation.name)
-            leader = False
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    flight = self._flights.get(key)
-                    if flight is None:
-                        flight = self._flights[key] = InFlight()
-                        leader = True
+            self.check_deadline(stage)
+            self._watch_cancel(watchers, stage)
+            cached, flight, leader = self._claim_fetch(key)
             if cached is not None:
-                with self._lock:
-                    self.cache_hits += 1
-                self.metrics.counter("engine.context_cache_hits").inc()
                 span = TraceSpan("fetch", relation.name, attrs={"host": relation.host})
                 span.cache = "hit"
                 with self._lock:
                     parent.children.append(span)
                 return cached
             if not leader:
-                self.metrics.counter("engine.coalesced").inc()
-                while not flight.event.is_set():
-                    self._fabric_checkpoint("fetch:%s" % relation.name, watchers)
-                    await asyncio.sleep(0.05)
+                await flight.wait_async(
+                    0.05, lambda: self._fabric_checkpoint(stage, watchers)
+                )
                 continue  # result (or nothing, if the leader failed) is cached now
-            try:
+            with self._flights.lead(flight):
                 result = await self._aguarded_fetch(
                     relation, given, handle, parent, watchers
                 )
-            except BaseException:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-                raise
-            with self._lock:
-                self._cache[key] = result
-                self._flights.pop(key, None)
-            flight.event.set()
+                self._resolve_fetch(flight, result)
             return result
 
     async def _aguarded_fetch(

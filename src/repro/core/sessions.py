@@ -16,10 +16,21 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import WebBaseError
 from repro.navigation.builder import DesignerHints, MapBuilder
 from repro.navigation.navmap import NavigationMap
 from repro.sites.world import World
 from repro.web.browser import Browser
+
+
+class MappingError(WebBaseError):
+    """A designer session found no ``demonstration`` it needs (an example
+    row, a detail link) on this world's ``site``."""
+
+    def __init__(self, site: str, demonstration: str) -> None:
+        super().__init__("cannot map %s by example: no %s" % (site, demonstration))
+        self.site = site
+        self.demonstration = demonstration
 
 
 def _first_data_row(page, columns: list[str]) -> dict[str, str]:
@@ -27,14 +38,24 @@ def _first_data_row(page, columns: list[str]) -> dict[str, str]:
     for table in page.tables():
         if len(table) >= 2:
             return dict(zip(columns, table[1]))
-    raise ValueError("no data table on %s" % page.url)
+    raise MappingError(page.url.host, "example row in a data table on %s" % page.url)
 
 
 def _first_block(page, labels: list[str]) -> dict[str, str]:
     """Read the first labeled block (dl) as an example tuple."""
-    dl = page.dom.find_all("dl")[0]
-    values = [dd.text() for dd in dl.find_all("dd")]
+    blocks = page.dom.find_all("dl")
+    if not blocks:
+        raise MappingError(page.url.host, "labeled example block on %s" % page.url)
+    values = [dd.text() for dd in blocks[0].find_all("dd")]
     return dict(zip(labels, values))
+
+
+def _link(page, name: str):
+    """The first link called ``name`` on ``page``."""
+    for link in page.links:
+        if link.name == name:
+            return link
+    raise MappingError(page.url.host, "%r link on %s" % (name, page.url))
 
 
 def _follow_more(browser) -> None:
@@ -55,13 +76,6 @@ def _reach_data_page(browser, make_field: str, make: str, model_field: str, mode
     return page
 
 
-def _detail_href(page, link_name: str) -> str:
-    for link in page.links:
-        if link.name == link_name:
-            return str(link.address)
-    raise ValueError("no %r link on %s" % (link_name, page.url))
-
-
 def map_newsday(world: World) -> MapBuilder:
     """Figure 2: link(auto), form f1(make), the conditional form f2, data
     pages with More, and per-row Car Features detail pages."""
@@ -72,18 +86,9 @@ def map_newsday(world: World) -> MapBuilder:
     browser.get("http://www.newsday.com/")
     browser.follow_named("Auto")
     page = _reach_data_page(browser, "make", "ford", "model", "escort")
-    row = page.tables()[0][1]
-    builder.mark_data_page(
-        "newsday",
-        {
-            "make": row[0],
-            "model": row[1],
-            "year": row[2],
-            "price": row[3],
-            "contact": row[4],
-            "url": _detail_href(page, "Car Features"),
-        },
-    )
+    example = _first_data_row(page, ["make", "model", "year", "price", "contact"])
+    example["url"] = str(_link(page, "Car Features").address)
+    builder.mark_data_page("newsday", example)
     _follow_more(browser)
     # Demonstrate the direct branch (few ads -> data page immediately),
     # the More loop, and a detail page.
@@ -91,7 +96,7 @@ def map_newsday(world: World) -> MapBuilder:
     browser.submit_by_attribute({"make": "saab"})
     _follow_more(browser)
     page = browser.page
-    detail = browser.follow(next(l for l in page.links if l.name == "Car Features"))
+    detail = browser.follow(_link(page, "Car Features"))
     dds = [dd.text() for dd in detail.dom.find_all("dd")]
     builder.mark_data_page(
         "newsday_car_features", {"features": dds[0], "picture": dds[1]}

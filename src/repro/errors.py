@@ -43,6 +43,7 @@ _HOMES = {
     "FetchFailedError": "repro.core.execution",
     "FetchTimeout": "repro.core.execution",
     "HandleError": "repro.vps.handle",
+    "MappingError": "repro.core.sessions",
     "NavigationError": "repro.web.browser",
     "Overloaded": "repro.service.client",
     "PageBudgetExceeded": "repro.navigation.executor",

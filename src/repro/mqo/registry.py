@@ -7,21 +7,12 @@ coalesce onto ONE evaluation: the first arrival becomes the *leader* and
 runs the subplan under its own execution context; every later arrival
 becomes a *subscriber* that waits on the leader's flight and shares the
 resulting :class:`~repro.relational.relation.Relation` (immutable, so
-sharing the object is safe).  This piggybacks on the same leader/waiter
-protocol as the engine's per-``(relation, bindings)`` fetch single-flight
-in :mod:`repro.core.execution` — one level up, at plan granularity.
-
-Cancellation safety mirrors the ``AccessHandle`` watcher pattern:
-
-* a **subscriber** cancelling (deadline, client gone) detaches — its
-  refcount drops and its own wait raises, but the shared node keeps
-  running for the remaining subscribers;
-* the **leader** failing or cancelling fails the node: the flight is
-  popped, survivors observe the error and loop — the first survivor
-  promotes itself to leader and re-runs the subplan, so shared work is
-  never lost to queries that still want it;
-* results are fanned out only on success — a failure is never shared, so
-  one query's transient fault cannot poison its neighbors.
+sharing the object is safe).  The flights are :mod:`repro.singleflight`,
+as for the engine's per-``(relation, bindings)`` fetches, one level up:
+a cancelled subscriber detaches and the flight runs on for the others
+(``mqo.detached``); a failed or cancelled leader's survivors loop and the
+first re-runs the subplan (``mqo.promotions``); a failure is never
+shared, so one query's transient fault cannot poison its neighbors.
 
 The registry holds no results beyond the flight itself: sharing is
 strictly *in-flight*, so staleness never outlives the queries being
@@ -41,27 +32,13 @@ import time
 from typing import Any, Callable
 
 from repro.relational.relation import Relation
+from repro.singleflight import FlightTable
 
 
 #: The attribute of a subscriber's span holding the hosts the leader
 #: fetched from, each at the revision it was read at (see
 #: :meth:`SubplanRegistry.run`).
 FETCHED_ATTR = "fetched"
-
-
-class _SharedNode:
-    """One in-flight shared subplan evaluation."""
-
-    __slots__ = ("event", "result", "error", "subscribers", "lock", "fetched")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Relation | None = None
-        self.error: BaseException | None = None
-        self.subscribers = 1  # the leader counts
-        self.lock = threading.Lock()
-        # host → revision the leader's fetches read it at.
-        self.fetched: dict[str, int] = {}
 
 
 class SubplanRegistry:
@@ -80,7 +57,7 @@ class SubplanRegistry:
         revisions: Callable[[], dict[str, int]] | None = None,
     ) -> None:
         self._lock = threading.Lock()
-        self._nodes: dict[str, _SharedNode] = {}
+        self._flights = FlightTable(self._lock)
         self.metrics = metrics
         self._revisions = revisions
 
@@ -91,7 +68,7 @@ class SubplanRegistry:
     def inflight(self) -> int:
         """How many distinct subplans are currently executing."""
         with self._lock:
-            return len(self._nodes)
+            return len(self._flights)
 
     def run(
         self,
@@ -108,61 +85,42 @@ class SubplanRegistry:
         and share the leader's result.  See the module docstring for the
         failure and cancellation ladder.
         """
+        poll = getattr(context, "check_cancelled", None)
         while True:
             with self._lock:
-                node = self._nodes.get(fingerprint)
-                if node is None:
-                    node = self._nodes[fingerprint] = _SharedNode()
-                    leader = True
-                else:
-                    leader = False
-                    with node.lock:
-                        node.subscribers += 1
+                flight, leader = self._flights.claim(fingerprint)
             if leader:
                 self._count("mqo.shared_leads")
                 if span is not None:
                     span.attrs["mqo"] = "lead"
                 before = self._revisions() if self._revisions is not None else {}
-                try:
+                with self._flights.lead(flight):
                     result = thunk()
-                except BaseException as exc:
-                    with self._lock:
-                        self._nodes.pop(fingerprint, None)
-                    node.error = exc
-                    node.event.set()
-                    raise
-                with self._lock:
-                    self._nodes.pop(fingerprint, None)
-                if span is not None:
-                    node.fetched = {
+                    # host → revision the leader's fetches read it at.
+                    fetched = {} if span is None else {
                         host: before.get(host, 0) for host in fetched_hosts(span)
                     }
-                node.result = result
-                node.event.set()
+                    self._flights.resolve(flight, (result, fetched))
                 return result
             # Subscriber: wait out the leader, staying cancellable.
             try:
-                poll = getattr(context, "check_cancelled", None)
-                if poll is None:
-                    node.event.wait()
-                else:
-                    while not node.event.wait(0.05):
-                        poll("mqo:%s" % fingerprint[:12])
+                shared = flight.wait(
+                    None if poll is None else lambda: poll("mqo:%s" % fingerprint[:12])
+                )
             except BaseException:
-                # This subscriber is gone; the node (and its other
+                # This subscriber is gone; the flight (and its other
                 # subscribers) live on — detach, don't kill.
-                with node.lock:
-                    node.subscribers -= 1
                 self._count("mqo.detached")
                 raise
-            if node.error is None:
+            if shared:
+                result, fetched = flight.result
                 self._count("mqo.shared_hits")
                 if span is not None:
                     span.attrs["mqo"] = "hit"
-                    span.attrs[FETCHED_ATTR] = dict(node.fetched)
-                return node.result
+                    span.attrs[FETCHED_ATTR] = dict(fetched)
+                return result
             # The leader failed or was cancelled out from under us: its
-            # flight is already popped, so loop — whoever re-enters first
+            # flight is already retired, so loop — whoever re-enters first
             # promotes to leader and re-runs.
             self._count("mqo.promotions")
 

@@ -45,6 +45,7 @@ from repro.navigation.executor import (
     NavigationExecutor,
     PageBudgetExceeded,
 )
+from repro.singleflight import Flight
 from repro.web.browser import (
     AsyncBrowser,
     NavigationError,
@@ -349,7 +350,7 @@ class AsyncNavigationExecutor(NavigationExecutor):
                 continue  # cached, or another binding is already on it
             flight, revision = claim
             task = asyncio.get_running_loop().create_task(
-                self._spec_fetch(request, host, key, flight, revision)
+                self._spec_fetch(request, host, flight, revision)
             )
             self._spec_tasks.append(task)
             issued += 1
@@ -357,24 +358,22 @@ class AsyncNavigationExecutor(NavigationExecutor):
             self._count("nav.prefetch_issued", issued)
 
     async def _spec_fetch(
-        self, request: Request, host: str, key: tuple, flight: Any, revision: int
+        self, request: Request, host: str, flight: Flight, revision: int
     ) -> None:
         browser = AsyncBrowser(self.server)
-        try:
-            async with self._connection(host):
-                page = await browser.request(request)
-        except NavigationError as exc:
-            # Never share a failure: the demand path retries it under the
-            # engine's retry policy.
-            self.page_cache.abandon(host, key, flight, error=exc)
-            if self.budget is not None:
-                self.budget.wasted(host)
-            return
-        except BaseException as exc:  # pragma: no cover - defensive
-            self.page_cache.abandon(host, key, flight, error=exc)
-            raise
-        self._count("nav.prefetch_pages")
-        self.page_cache.fulfill(host, key, flight, page, revision, speculative=True)
+        with self.page_cache.flights.lead(flight):
+            try:
+                async with self._connection(host):
+                    page = await browser.request(request)
+            except NavigationError as exc:
+                # Never share a failure: the demand path retries it under
+                # the engine's retry policy.
+                self.page_cache.flights.fail(flight, exc)
+                if self.budget is not None:
+                    self.budget.wasted(host)
+                return
+            self._count("nav.prefetch_pages")
+            self.page_cache.fulfill(flight, page, revision, speculative=True)
 
     async def drain_speculation(self) -> None:
         """Await every speculative task spawned so far (deterministic

@@ -224,22 +224,18 @@ class SpeculativePrefetcher:
                         self.budget.release(host)
                     continue  # cached, or the demand path beat us to it
                 flight, revision = claim
-                try:
-                    page = browser.request(request)
-                except NavigationError as exc:
-                    # Never share a failure: the demand path retries it
-                    # under the engine's retry policy.
-                    self.cache.abandon(host, key, flight, error=exc)
-                    if self.budget is not None:
-                        self.budget.wasted(host)
-                    continue
-                except BaseException as exc:  # pragma: no cover - defensive
-                    self.cache.abandon(host, key, flight, error=exc)
-                    raise
-                pages += 1
-                self.cache.fulfill(
-                    host, key, flight, page, revision, speculative=True
-                )
+                with self.cache.flights.lead(flight):
+                    try:
+                        page = browser.request(request)
+                    except NavigationError as exc:
+                        # Never share a failure: the demand path retries
+                        # it under the engine's retry policy.
+                        self.cache.flights.fail(flight, exc)
+                        if self.budget is not None:
+                            self.budget.wasted(host)
+                        continue
+                    pages += 1
+                    self.cache.fulfill(flight, page, revision, speculative=True)
         finally:
             with self._lock:
                 self._active -= 1

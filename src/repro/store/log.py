@@ -78,6 +78,10 @@ class RecordLog:
     leaves durability to the page cache — the store's crash model injects
     faults *above* the OS write, so recovery guarantees are identical in
     either mode; fsync only narrows the window against real power loss.
+
+    Only a record count stays in memory: :attr:`records` and iteration
+    rescan the file (replay at open, compaction, rebuild and tests read
+    them), so appends retain nothing however long the process runs.
     """
 
     def __init__(
@@ -90,33 +94,39 @@ class RecordLog:
         self.fsync = fsync
         self._fault = fault
         self._lock = threading.Lock()
-        self._records, self.torn_bytes = self._recover()
+        self._count, self.torn_bytes = self._recover()
         self._handle = open(path, "ab")
 
-    def _recover(self) -> tuple[list[dict[str, Any]], int]:
-        """Scan the file, truncate any torn tail, return the good records."""
+    def _read(self) -> bytes:
         try:
             with open(self.path, "rb") as handle:
-                data = handle.read()
+                return handle.read()
         except FileNotFoundError:
-            return [], 0
+            return b""
+
+    def _recover(self) -> tuple[int, int]:
+        """Scan the file, truncate any torn tail; returns ``(records,
+        torn bytes)``."""
+        data = self._read()
         records, good_end = scan_records(data)
         torn = len(data) - good_end
         if torn:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_end)
-        return records, torn
+        return len(records), torn
 
     @property
     def records(self) -> list[dict[str, Any]]:
-        """All durable records, oldest first (live view; do not mutate)."""
-        return self._records
+        """All durable records, oldest first, read back from the file."""
+        with self._lock:
+            data = self._read()
+        return scan_records(data)[0]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self._records)
+        return iter(self.records)
 
     def append(self, record: dict[str, Any]) -> dict[str, Any]:
         """Append one record durably; raises StorageCrash on a torn write."""
@@ -129,7 +139,7 @@ class RecordLog:
             self._handle.flush()
             if self.fsync:
                 os.fsync(self._handle.fileno())
-            self._records.append(record)
+            self._count += 1
         return record
 
     def rewrite(self, records: list[dict[str, Any]]) -> None:
@@ -150,7 +160,7 @@ class RecordLog:
             self._handle.close()
             os.replace(tmp, self.path)
             self._handle = open(self.path, "ab")
-            self._records = list(records)
+            self._count = len(records)
 
     def size_bytes(self) -> int:
         """Current on-disk size of the log."""

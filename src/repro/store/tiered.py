@@ -480,18 +480,19 @@ class TieredStore:
                 + self.gold.size_bytes()
             )
             keep_bronze: list[dict[str, Any]] = []
+            bronze = self.bronze.records  # one rescan of the file
             last_page = {
                 page_key_from_json(r["key"]): i
-                for i, r in enumerate(self.bronze)
+                for i, r in enumerate(bronze)
                 if r.get("kind") == "page"
             }
             last_intent = {
                 (r["relation"], json.dumps(r["key"])): i
-                for i, r in enumerate(self.bronze)
+                for i, r in enumerate(bronze)
                 if r.get("kind") == "intent"
                 and r["revision"] == self._revisions.get(r["host"], 0)
             }
-            for i, record in enumerate(self.bronze):
+            for i, record in enumerate(bronze):
                 kind = record.get("kind")
                 if kind == "page":
                     if last_page.get(page_key_from_json(record["key"])) == i:

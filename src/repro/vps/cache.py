@@ -33,10 +33,8 @@ cover that:
   re-demonstrates the flow and the quarantine is lifted.
 
 Concurrent misses on the same key coalesce into one upstream fetch
-(single-flight): the first worker fetches, the rest wait and share the
-result.  Failures are never stored and never shared — a waiter whose
-leader failed retries the fetch itself, so a transient fault cannot
-poison the cache.
+(:mod:`repro.singleflight`); a failure is never stored or shared, so a
+transient fault cannot poison the cache.
 
 All cache traffic is counted into a :class:`~repro.core.metrics.MetricsRegistry`
 and, when a fetch carries an execution context, mirrored onto trace spans
@@ -57,6 +55,7 @@ from repro.core.metrics import MetricsRegistry
 from repro.relational.bindings import BindingSets
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.singleflight import Flight, FlightTable
 from repro.vps.schema import VpsSchema
 
 STALE_MODES = ("refetch", "serve_stale")
@@ -128,17 +127,6 @@ class CacheEntry:
     warmed: bool = False  # loaded from the tiered store, not fetched live
 
 
-class InFlight:
-    """The rendezvous for one in-progress upstream fetch (single-flight)."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
-
-
 class ResultCache:
     """The always-present cache layer over a VPS schema (Catalog-compatible).
 
@@ -164,10 +152,10 @@ class ResultCache:
         self.metrics = metrics or MetricsRegistry()
         self._clock = clock or time.monotonic
         self._cache: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        self._inflight: dict[tuple, InFlight] = {}
         self._revisions: dict[str, int] = {}
         self._quarantined: set[str] = set()
         self._lock = threading.Lock()
+        self._flights = FlightTable(self._lock)
         self.hits = 0
         self.misses = 0
         # Optional persistence underneath (repro.store.TieredStore): filled
@@ -550,24 +538,47 @@ class ResultCache:
         self,
         name: str,
         host: str,
-        key: tuple,
         revision: int,
-        flight: "InFlight",
+        flight: Flight,
         value: Relation,
         context: Any,
     ) -> None:
         """A federation lookup satisfied this flight: store, account the
         hit, and wake the local coalesced waiters."""
-        with self._lock:
+
+        def store() -> bool:
             self.hits += 1
-            stored = self._store(key, name, host, revision, value)
-            self._inflight.pop(key, None)
+            return self._store(flight.key, name, host, revision, value)
+
+        stored = self._flights.resolve(flight, value, store)
         self.metrics.counter("cluster.fed_hits").inc()
         if stored:
-            self._persist_silver(key, name, host, revision, value)
+            self._persist_silver(flight.key, name, host, revision, value)
         self._record_hit(name, host, context, stale=False)
-        flight.result = value
-        flight.event.set()
+
+    def _resolve_fill(
+        self, name: str, host: str, revision: int, flight: Flight, value: Relation
+    ) -> None:
+        """A leader fetched ``value`` live: store it, persist and publish
+        it when stored (else free the federation claim), and wake the
+        local coalesced waiters."""
+        key = flight.key
+        stored = self._flights.resolve(
+            flight, value, lambda: self._store(key, name, host, revision, value)
+        )
+        if stored:
+            self._persist_silver(key, name, host, revision, value)
+            self._federation_publish(name, host, key, revision, value)
+        elif self.federation is not None:
+            # Not stored means not published: free the claim.
+            self._federation_release(name, key)
+
+    def _count_miss(self) -> None:
+        """A federation-deferred miss verdict: the leader fetches live."""
+        with self._lock:
+            self.misses += 1
+        self.metrics.counter("cache.misses").inc()
+        self.metrics.counter("cluster.fed_misses").inc()
 
     def fetch(
         self, name: str, given: dict[str, Any], context: Any = None
@@ -596,18 +607,16 @@ class ResultCache:
             self.metrics.counter("cache.quarantine_bypass").inc()
             return self._fetch_inner(name, given, context)
 
+        poll = getattr(context, "check_cancelled", None)
         while True:
-            leader = False
             with self._lock:
                 entry = self._live_entry(key, host)
                 if entry is not None:
                     self.hits += 1
                     self._cache.move_to_end(key)
                 else:
-                    flight = self._inflight.get(key)
-                    if flight is None:
-                        flight = self._inflight[key] = InFlight()
-                        leader = True
+                    flight, leader = self._flights.claim(key)
+                    if leader:
                         revision = self._revisions.get(host, 0)
                         # Invariant: exactly one miss per *upstream fetch*.
                         # Only the flight leader counts one, here, under the
@@ -626,73 +635,61 @@ class ResultCache:
                 self._record_hit(name, host, context, stale=False, warmed=entry.warmed)
                 return entry.value
             if leader:
-                if self.federation is not None:
-                    try:
-                        value = self._federation_lookup(name, host, key, revision)
-                        if value is None and not self._federation_claim(name, key):
-                            # A sibling shard is already walking this fill:
-                            # wait for its publish instead of duplicating it.
-                            self.metrics.counter("cluster.fed_waits").inc()
-                            value = self._federation_await(
-                                name, host, key, revision, context
-                            )
-                    except BaseException as exc:
-                        # Cancellation raised out of the wait: fail the
-                        # flight so local waiters retry themselves.
-                        with self._lock:
-                            self._inflight.pop(key, None)
-                        flight.error = exc
-                        flight.event.set()
-                        raise
-                    if value is not None:
-                        self._resolve_fed_hit(
-                            name, host, key, revision, flight, value, context
-                        )
-                        return value
-                    with self._lock:
-                        self.misses += 1
-                    self.metrics.counter("cache.misses").inc()
-                    self.metrics.counter("cluster.fed_misses").inc()
-                self._record_intent(key, host, revision)
-                try:
-                    result = self._fetch_inner(name, given, context)
-                except BaseException as exc:
-                    # Never store or share a failure: waiters retry themselves.
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                    if self.federation is not None:
-                        self._federation_release(name, key)
-                    flight.error = exc
-                    flight.event.set()
-                    raise
-                with self._lock:
-                    stored = self._store(key, name, host, revision, result)
-                    self._inflight.pop(key, None)
-                if stored:
-                    self._persist_silver(key, name, host, revision, result)
-                    self._federation_publish(name, host, key, revision, result)
-                elif self.federation is not None:
-                    # Not stored means not published: free the claim.
-                    self._federation_release(name, key)
-                flight.result = result
-                flight.event.set()
-                return result
+                with self._flights.lead(flight):
+                    return self._lead_fetch(name, given, host, revision, flight, context)
             # Another worker is already fetching this key: wait and share —
             # but keep observing cancellation, so a revoked access stops
             # waiting on a leader it no longer wants.
             self.metrics.counter("cache.coalesced").inc()
-            poll = getattr(context, "check_cancelled", None)
-            if poll is None:
-                flight.event.wait()
-            else:
-                while not flight.event.wait(0.05):
-                    poll("coalesced:%s" % name)
-            if flight.error is None:
+            if flight.wait(None if poll is None else lambda: poll("coalesced:%s" % name)):
                 with self._lock:
                     self.hits += 1
                 self._record_hit(name, host, context, stale=False)
                 return flight.result
             # The leader failed; loop and try the fetch ourselves.
+
+    def _lead_fetch(
+        self,
+        name: str,
+        given: dict[str, Any],
+        host: str,
+        revision: int,
+        flight: Flight,
+        context: Any,
+        claim_denied: bool = False,
+    ) -> Relation:
+        """The flight leader's fill: the federation first (when attached),
+        else one live fetch.  Runs inside the flight's leader scope, so a
+        failure — never stored, never shared — wakes the waiters to retry.
+        ``claim_denied``: a batch already found a sibling shard holding
+        this fill's claim, so go straight to waiting for its publish."""
+        key = flight.key
+        try:
+            if self.federation is not None:
+                if claim_denied:
+                    value = self._federation_await(name, host, key, revision, context)
+                else:
+                    value = self._federation_lookup(name, host, key, revision)
+                    if value is None and not self._federation_claim(name, key):
+                        # A sibling shard is already walking this fill:
+                        # wait for its publish instead of duplicating it.
+                        self.metrics.counter("cluster.fed_waits").inc()
+                        value = self._federation_await(
+                            name, host, key, revision, context
+                        )
+                if value is not None:
+                    self._resolve_fed_hit(name, host, revision, flight, value, context)
+                    return value
+                self._count_miss()
+            self._record_intent(key, host, revision)
+            result = self._fetch_inner(name, given, context)
+        except BaseException:
+            # A claim is released only by its holder: a no-op otherwise.
+            if self.federation is not None:
+                self._federation_release(name, key)
+            raise
+        self._resolve_fill(name, host, revision, flight, result)
+        return result
 
     def _fetch_inner_batch(
         self, name: str, givens: list[dict[str, Any]], context: Any
@@ -725,9 +722,7 @@ class ResultCache:
         keys = [self._key(name, given) for given in givens]
         results: dict[tuple, Relation] = {}
         hit_keys: list[tuple] = []
-        lead_keys: list[tuple] = []
-        lead_givens: list[dict[str, Any]] = []
-        flights: dict[tuple, InFlight] = {}
+        leads: list[tuple[Flight, dict[str, Any]]] = []
         with self._lock:
             revision = self._revisions.get(host, 0)
             seen: set[tuple] = set()
@@ -742,12 +737,9 @@ class ResultCache:
                     self._cache.move_to_end(key)
                     results[key] = entry.value
                     hit_keys.append((key, entry.warmed))
-                elif key not in self._inflight:
+                elif key not in self._flights:
                     self.metrics.counter("cache.requests").inc()
-                    flight = self._inflight[key] = InFlight()
-                    flights[key] = flight
-                    lead_keys.append(key)
-                    lead_givens.append(given)
+                    leads.append((self._flights.claim(key)[0], given))
                     if self.federation is None:
                         self.misses += 1
                         self.metrics.counter("cache.misses").inc()
@@ -757,111 +749,53 @@ class ResultCache:
                 # count the lookup).
         for key, warmed in hit_keys:
             self._record_hit(name, host, context, stale=False, warmed=warmed)
-        awaited_keys: list[tuple] = []
-        awaited_givens: list[dict[str, Any]] = []
-        if lead_keys and self.federation is not None:
-            # Resolve as many lead keys as the federation holds before
-            # paying for the inner batch fetch (same hit-vs-miss verdict
-            # deferral as the single-key path).  Keys a sibling shard has
-            # claimed are set aside: they resolve after our own batch
-            # fetch, by which time the sibling has likely published.
-            remaining_keys: list[tuple] = []
-            remaining_givens: list[dict[str, Any]] = []
-            for key, given in zip(lead_keys, lead_givens):
-                value = self._federation_lookup(name, host, key, revision)
-                if value is not None:
-                    self._resolve_fed_hit(
-                        name, host, key, revision, flights[key], value, context
-                    )
-                    results[key] = value
-                elif not self._federation_claim(name, key):
-                    self.metrics.counter("cluster.fed_waits").inc()
-                    awaited_keys.append(key)
-                    awaited_givens.append(given)
-                else:
-                    with self._lock:
-                        self.misses += 1
-                    self.metrics.counter("cache.misses").inc()
-                    self.metrics.counter("cluster.fed_misses").inc()
-                    remaining_keys.append(key)
-                    remaining_givens.append(given)
-            lead_keys, lead_givens = remaining_keys, remaining_givens
-        if lead_keys:
-            for key in lead_keys:
-                self._record_intent(key, host, revision)
-            try:
-                fetched = self._fetch_inner_batch(name, lead_givens, context)
-            except BaseException as exc:
-                with self._lock:
-                    for key in lead_keys + awaited_keys:
-                        self._inflight.pop(key, None)
-                if self.federation is not None:
-                    for key in lead_keys:
-                        self._federation_release(name, key)
-                for key in lead_keys + awaited_keys:
-                    flights[key].error = exc
-                    flights[key].event.set()
-                raise
-            stored_keys = []
-            unstored_keys = []
-            with self._lock:
-                for key, value in zip(lead_keys, fetched):
-                    if self._store(key, name, host, revision, value):
-                        stored_keys.append((key, value))
+        # The batch leads every flight it opened: federation hits first
+        # (when attached), then one inner batch fetch, then the fills a
+        # sibling shard had claimed.  A failure fails every flight it has
+        # not resolved yet.
+        with self._flights.lead(*(flight for flight, _ in leads)):
+            awaited: list[tuple[Flight, dict[str, Any]]] = []
+            if leads and self.federation is not None:
+                # Resolve as many lead keys as the federation holds before
+                # paying for the inner batch fetch (same hit-vs-miss verdict
+                # deferral as the single-key path).  Keys a sibling shard has
+                # claimed are set aside: they resolve after our own batch
+                # fetch, by which time the sibling has likely published.
+                remaining: list[tuple[Flight, dict[str, Any]]] = []
+                for flight, given in leads:
+                    value = self._federation_lookup(name, host, flight.key, revision)
+                    if value is not None:
+                        self._resolve_fed_hit(name, host, revision, flight, value, context)
+                        results[flight.key] = value
+                    elif not self._federation_claim(name, flight.key):
+                        self.metrics.counter("cluster.fed_waits").inc()
+                        awaited.append((flight, given))
                     else:
-                        unstored_keys.append(key)
-                    self._inflight.pop(key, None)
-            for key, value in stored_keys:
-                self._persist_silver(key, name, host, revision, value)
-                self._federation_publish(name, host, key, revision, value)
-            if self.federation is not None:
-                for key in unstored_keys:
-                    self._federation_release(name, key)
-            for key, value in zip(lead_keys, fetched):
-                flights[key].result = value
-                flights[key].event.set()
-                results[key] = value
-        for index, (key, given) in enumerate(zip(awaited_keys, awaited_givens)):
-            # A sibling shard claimed these fills; by now (after our own
-            # batch fetch ran) most are published.  Any that are not get
-            # the same wait-then-fetch treatment as the single-key path.
-            try:
-                value = self._federation_await(name, host, key, revision, context)
-                if value is None:
-                    with self._lock:
-                        self.misses += 1
-                    self.metrics.counter("cache.misses").inc()
-                    self.metrics.counter("cluster.fed_misses").inc()
-                    self._record_intent(key, host, revision)
-                    value = self._fetch_inner(name, given, context)
-                    with self._lock:
-                        stored = self._store(key, name, host, revision, value)
-                        self._inflight.pop(key, None)
-                    if stored:
-                        self._persist_silver(key, name, host, revision, value)
-                        self._federation_publish(name, host, key, revision, value)
-                    else:
-                        self._federation_release(name, key)
-                    flights[key].result = value
-                    flights[key].event.set()
-                    results[key] = value
-                else:
-                    self._resolve_fed_hit(
-                        name, host, key, revision, flights[key], value, context
+                        self._count_miss()
+                        remaining.append((flight, given))
+                leads = remaining
+            if leads:
+                for flight, _ in leads:
+                    self._record_intent(flight.key, host, revision)
+                try:
+                    fetched = self._fetch_inner_batch(
+                        name, [given for _, given in leads], context
                     )
-                    results[key] = value
-            except BaseException as exc:
-                # Fail this flight and every awaited one behind it —
-                # leaving a registered flight unset would hang its waiters.
-                failed = awaited_keys[index:]
-                with self._lock:
-                    for k in failed:
-                        self._inflight.pop(k, None)
-                self._federation_release(name, key)
-                for k in failed:
-                    flights[k].error = exc
-                    flights[k].event.set()
-                raise
+                except BaseException:
+                    if self.federation is not None:
+                        for flight, _ in leads:
+                            self._federation_release(name, flight.key)
+                    raise
+                for (flight, _), value in zip(leads, fetched):
+                    self._resolve_fill(name, host, revision, flight, value)
+                    results[flight.key] = value
+            for flight, given in awaited:
+                # A sibling shard claimed these fills; by now (after our own
+                # batch fetch ran) most are published.  Any that are not get
+                # the same wait-then-fetch treatment as the single-key path.
+                results[flight.key] = self._lead_fetch(
+                    name, given, host, revision, flight, context, claim_denied=True
+                )
         return [
             results[key]
             if key in results

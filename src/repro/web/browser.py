@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import WebBaseError
+from repro.singleflight import Flight, FlightTable
 from repro.web.clock import SimClock
 from repro.web.http import Request, Response, Url
 from repro.web.page import FormSpec, Link, WebPage, parse_page
@@ -101,9 +102,8 @@ class PrefixPageCache:
     revision and drops mismatched entries, so no page captured under an
     old map is ever served across a revision bump.
 
-    Concurrent misses on one key coalesce (single-flight): the first
-    caller fetches, the rest wait and share the page.  Failures are never
-    stored — a waiter whose leader failed becomes the next leader.
+    Concurrent misses on one key coalesce (:attr:`flights`, a
+    :class:`~repro.singleflight.FlightTable`); failures are never stored.
 
     Thread-safe; counts ``nav.prefix_hits`` / ``nav.prefix_misses`` /
     ``nav.prefix_coalesced`` into ``metrics`` when given.
@@ -122,10 +122,10 @@ class PrefixPageCache:
         # which hosts it holds warm prefixes for (fail-open, best effort).
         self._stamp_sink = stamp_sink
         self._pages: dict[tuple, tuple[int, WebPage]] = {}
-        self._flights: dict[tuple, Any] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        # In-flight fetches, keyed ``(host, request_key)``; failed flights
+        # are never stored, and their waiters retry.
+        self.flights = FlightTable(self._lock)
         # Entries fetched *speculatively* (ahead of demand).  The first
         # demand hit on one "consumes" it — reported to ``budget`` (a
         # :class:`~repro.navigation.prefetch.SpeculationBudget`, when the
@@ -175,59 +175,47 @@ class PrefixPageCache:
             self._consumed_locked(host, key)
             return page
 
-    def get(self, host: str, request: Request) -> WebPage | None:
-        return self.lookup(host, request_key(request))
-
     def acquire(self, host: str, key: tuple):
         """Claim ``key``: ``("hit", page, None)`` when cached, ``("lead",
         flight, revision)`` when this caller must fetch, or ``("wait",
         flight, None)`` when another caller is already fetching it.  A
-        leader must call :meth:`fulfill` or :meth:`abandon`."""
-        from repro.vps.cache import InFlight
-
+        leader fetches inside ``self.flights.lead(flight)`` and publishes
+        with :meth:`fulfill`."""
         revision = self._revision_of(host)
         with self._lock:
             entry = self._pages.get((host, key))
             if entry is not None:
                 if entry[0] == revision:
-                    self.hits += 1
                     self._count("nav.prefix_hits")
                     self._consumed_locked(host, key)
                     return ("hit", entry[1], None)
                 del self._pages[(host, key)]
                 self._dropped_locked(host, key)
-            flight = self._flights.get((host, key))
-            if flight is not None:
+            flight, leader = self.flights.claim((host, key))
+            if not leader:
                 self._count("nav.prefix_coalesced")
                 return ("wait", flight, None)
-            flight = self._flights[(host, key)] = InFlight()
-            self.misses += 1
             self._count("nav.prefix_misses")
             return ("lead", flight, revision)
 
-    def try_lead(self, host: str, key: tuple):
+    def try_lead(self, host: str, key: tuple) -> tuple[Flight, int] | None:
         """Non-blocking claim for speculative work: ``(flight, revision)``
         when the caller should fetch, ``None`` when the page is already
         cached or someone else is on it (nothing to do)."""
-        from repro.vps.cache import InFlight
-
         revision = self._revision_of(host)
         with self._lock:
             entry = self._pages.get((host, key))
             if entry is not None and entry[0] == revision:
                 return None
-            if (host, key) in self._flights:
+            flight, leader = self.flights.claim((host, key))
+            if not leader:
                 return None
-            flight = self._flights[(host, key)] = InFlight()
-            self.misses += 1
             self._count("nav.prefix_misses")
             return (flight, revision)
 
     def fulfill(
         self,
-        host: str,
-        key: tuple,
-        flight: Any,
+        flight: Flight,
         page: WebPage,
         revision: int,
         speculative: bool = False,
@@ -236,30 +224,24 @@ class PrefixPageCache:
         it was in flight) and release the waiters.  ``speculative`` marks
         the entry as fetched ahead of demand: its first demand hit settles
         it with the speculation budget."""
-        stored = False
-        with self._lock:
-            if revision == self._revision_of(host):
-                self._pages[(host, key)] = (revision, page)
-                stored = True
-                if speculative:
-                    self._speculative.add((host, key))
-            elif speculative and self.budget is not None:
-                self.budget.wasted(host)
-            self._flights.pop((host, key), None)
-        flight.result = page
-        flight.event.set()
+        host, key = flight.key
+
+        def store() -> bool:
+            if revision != self._revision_of(host):
+                if speculative and self.budget is not None:
+                    self.budget.wasted(host)
+                return False
+            self._pages[(host, key)] = (revision, page)
+            if speculative:
+                self._speculative.add((host, key))
+            return True
+
+        stored = self.flights.resolve(flight, page, store)
         if stored and self._stamp_sink is not None:
             try:
                 self._stamp_sink(host, revision)
             except Exception:  # noqa: BLE001 - the sink must never break a fetch
                 pass
-
-    def abandon(self, host: str, key: tuple, flight: Any, error: BaseException | None = None) -> None:
-        """A leader's fetch failed: nothing is stored, waiters retry."""
-        with self._lock:
-            self._flights.pop((host, key), None)
-        flight.error = error
-        flight.event.set()
 
 
 class Browser:
@@ -362,23 +344,14 @@ class Browser:
             if outcome == "hit":
                 return payload, False
             if outcome == "wait":
-                if poll is None:
-                    payload.event.wait()
-                else:
-                    while not payload.event.wait(0.05):
-                        poll()
-                if payload.error is None and payload.result is not None:
+                if payload.wait(poll):
                     return payload.result, False
                 continue  # the leader failed; try to lead ourselves
-            flight = payload
-            try:
+            with cache.flights.lead(payload):
                 if on_live is not None:
                     on_live()
                 page = self.request(request)
-            except BaseException as exc:
-                cache.abandon(host, key, flight, error=exc)
-                raise
-            cache.fulfill(host, key, flight, page, revision)
+                cache.fulfill(payload, page, revision)
             return page, True
 
     # -- internals ----------------------------------------------------------
@@ -513,15 +486,12 @@ class AsyncBrowser:
         """Async twin of :meth:`Browser.request_cached`, sharing the same
         :class:`PrefixPageCache` and single-flight protocol.
 
-        A coalesced wait polls the leader's flight event with *virtual*
-        sleeps — free in real time, deterministic in order — running
-        ``poll`` (the fabric's cancellation checkpoint) each round so a
-        cancelled access stops waiting.  On the fabric every leader is a
-        coroutine on the same loop, so the wait always resolves within the
-        loop's own schedule.  ``gate`` (the fabric's per-host connection
-        semaphore) is held only across a *live* navigation — never while
-        waiting on another caller's flight, which could starve the very
-        leader being waited on.
+        A coalesced wait polls the leader's flight on *virtual* time
+        (:meth:`~repro.singleflight.Flight.wait_async`), running ``poll``
+        (the fabric's cancellation checkpoint) each round.  ``gate`` (the
+        fabric's per-host connection semaphore) is held only across a
+        *live* navigation — never while waiting on another caller's
+        flight, which could starve the very leader being waited on.
         """
         key = request_key(request)
         host = request.url.host
@@ -530,15 +500,10 @@ class AsyncBrowser:
             if outcome == "hit":
                 return payload, False
             if outcome == "wait":
-                while not payload.event.is_set():
-                    if poll is not None:
-                        poll()
-                    await asyncio.sleep(0.02)
-                if payload.error is None and payload.result is not None:
+                if await payload.wait_async(0.02, poll):
                     return payload.result, False
                 continue  # the leader failed; try to lead ourselves
-            flight = payload
-            try:
+            with cache.flights.lead(payload):
                 if on_live is not None:
                     on_live()
                 if gate is None:
@@ -546,8 +511,5 @@ class AsyncBrowser:
                 else:
                     async with gate:
                         page = await self.request(request)
-            except BaseException as exc:
-                cache.abandon(host, key, flight, error=exc)
-                raise
-            cache.fulfill(host, key, flight, page, revision)
+                cache.fulfill(payload, page, revision)
             return page, True

@@ -60,7 +60,7 @@ class TestPrefixPageCacheRevisions:
         outcome, flight, revision = cache.acquire("h.com", key)
         assert outcome == "lead"
         page = object()
-        cache.fulfill("h.com", key, flight, page, revision)
+        cache.fulfill(flight, page, revision)
         assert cache.lookup("h.com", key) is page
         revisions["h.com"] = 1
         assert cache.lookup("h.com", key) is None  # refused ...
@@ -76,7 +76,7 @@ class TestPrefixPageCacheRevisions:
         assert outcome == "lead"
         revisions["h.com"] = 1  # the map changed mid-flight
         page = object()
-        cache.fulfill("h.com", key, flight, page, revision)
+        cache.fulfill(flight, page, revision)
         assert flight.result is page  # waiters are released
         assert cache.lookup("h.com", key) is None
         assert len(cache) == 0
@@ -86,7 +86,7 @@ class TestPrefixPageCacheRevisions:
         key = ("GET", "http://h.com/", ())
         outcome, flight, _revision = cache.acquire("h.com", key)
         assert outcome == "lead"
-        cache.abandon("h.com", key, flight, error=RuntimeError("boom"))
+        cache.flights.fail(flight, RuntimeError("boom"))
         assert cache.lookup("h.com", key) is None
         # The next caller leads again instead of inheriting the failure.
         outcome, _flight, _revision = cache.acquire("h.com", key)

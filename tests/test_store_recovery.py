@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -479,4 +480,41 @@ class TestCompactionPreservesServedState:
         store.close()
         reopened = TieredStore(root)
         assert self._served(reopened) == before
+        reopened.close()
+
+
+class TestRecordLogMemory:
+    """The log keeps a count, not its records: appends retain nothing."""
+
+    @staticmethod
+    def _record(n: int) -> dict:
+        # ~4 KB and distinct per record, like a bronze page body.
+        return {"kind": "page", "n": n, "body": ("%08d" % n) * 512}
+
+    def _append_measured(self, log: RecordLog, start: int, count: int) -> int:
+        """Bytes still allocated after appending ``count`` records."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for n in range(start, start + count):
+                log.append(self._record(n))
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_retained_memory_does_not_grow_with_appends(self, tmp_path):
+        path = str(tmp_path / "bronze.log")
+        log = RecordLog(path)
+        small = self._append_measured(log, 0, 500)
+        large = self._append_measured(log, 500, 3000)
+        # Holding the records would retain ~12 MB for the 3,000 appends.
+        assert large < 256 * 1024, large
+        assert large < small + 64 * 1024, (small, large)
+        assert len(log) == 3500
+        expected = [self._record(n) for n in range(3500)]
+        assert list(log) == expected
+        log.close()
+        reopened = RecordLog(path)
+        assert len(reopened) == 3500
+        assert list(reopened) == expected
         reopened.close()

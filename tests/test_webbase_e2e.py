@@ -164,3 +164,29 @@ class TestNyAreaShopping:
         )
         if len(result):  # saab ads in 10001 exist at some dealer
             assert all(d["duration"] == 36 for d in result.to_dicts())
+
+
+class TestUnmappableWorlds:
+    """Worlds whose shape the scripted designer sessions do not expect
+    fail with a typed error naming the site and the missing
+    demonstration — not a bare ``StopIteration`` or ``IndexError``."""
+
+    @pytest.mark.parametrize(
+        "seed, ads_per_host, missing",
+        [
+            (1, 24, "'Car Features' link"),
+            (2, 24, "'Car Features' link"),
+            (1999, 1, "'Car Features' link"),
+            (1999, 5, "'Car Features' link"),
+            (1999, 0, "example row in a data table"),
+        ],
+    )
+    def test_raises_a_mapping_error(self, seed, ads_per_host, missing):
+        from repro.errors import MappingError, WebBaseError
+
+        with pytest.raises(MappingError) as info:
+            WebBase.create(WebBaseConfig(seed=seed, ads_per_host=ads_per_host))
+        assert isinstance(info.value, WebBaseError)
+        assert info.value.site == "www.newsday.com"
+        assert info.value.demonstration.startswith(missing)
+        assert "www.newsday.com" in str(info.value)
